@@ -1,5 +1,5 @@
 // ftmao_certify — one-command verification barrage for a system size:
-// Theorem 2 across ten attacks, Lemma 2 LP witness audits, execution
+// Theorem 2 across ten attacks, Lemma 2 witness audits, execution
 // invariants, theory-bound domination, and an attack-liveness contrast.
 //
 //   ftmao_certify --n 7 --f 2           # exit code 0 iff everything holds
@@ -64,26 +64,24 @@ int main(int argc, char** argv) {
   try {
     if (!cli::apply_isa_flag(parser, std::cerr)) return 2;
     CertifyOptions options;
-    options.n = static_cast<std::size_t>(parser.get_int("n"));
-    options.f = static_cast<std::size_t>(parser.get_int("f"));
-    options.rounds = static_cast<std::size_t>(parser.get_int("rounds"));
+    options.n = parser.get_size("n");
+    options.f = parser.get_size("f");
+    options.rounds = parser.get_size("rounds");
     options.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
     options.spread = parser.get_double("spread");
     options.consensus_eps = parser.get_double("consensus-eps");
     options.optimality_eps = parser.get_double("optimality-eps");
-    options.num_threads = static_cast<std::size_t>(parser.get_int("threads"));
-    options.batch_size = static_cast<std::size_t>(parser.get_int("batch"));
+    options.num_threads = parser.get_size("threads");
+    options.batch_size = parser.get_size("batch");
     options.scalar_engine = parser.get_bool("scalar");
     options.megabatch = cli::megabatch_flag(parser);
-    options.async_n = static_cast<std::size_t>(parser.get_int("async-n"));
-    options.async_f = static_cast<std::size_t>(parser.get_int("async-f"));
-    options.async_rounds =
-        static_cast<std::size_t>(parser.get_int("async-rounds"));
+    options.async_n = parser.get_size("async-n");
+    options.async_f = parser.get_size("async-f");
+    options.async_rounds = parser.get_size("async-rounds");
     options.async_consensus_eps = parser.get_double("async-consensus-eps");
     options.async_optimality_eps = parser.get_double("async-optimality-eps");
-    options.vector_dim = static_cast<std::size_t>(parser.get_int("vector-dim"));
-    options.vector_rounds =
-        static_cast<std::size_t>(parser.get_int("vector-rounds"));
+    options.vector_dim = parser.get_size("vector-dim");
+    options.vector_rounds = parser.get_size("vector-rounds");
     options.vector_consensus_eps = parser.get_double("vector-consensus-eps");
     options.vector_optimality_eps = parser.get_double("vector-optimality-eps");
     const std::unique_ptr<ResultCache> cache = cli::cache_from(parser);

@@ -63,9 +63,9 @@ SweepConfig grid_config_from(const cli::ArgParser& parser) {
   config.sizes = parse_sizes(parser.get("sizes"));
   config.dims = parse_dims(parser.get("dim"));
   config.attacks = parse_attacks(parser.get("attacks"));
-  const auto seed_count = static_cast<std::uint64_t>(parser.get_int("seeds"));
+  const std::size_t seed_count = parser.get_size("seeds");
   for (std::uint64_t s = 1; s <= seed_count; ++s) config.seeds.push_back(s);
-  config.rounds = static_cast<std::size_t>(parser.get_int("rounds"));
+  config.rounds = parser.get_size("rounds");
   config.spread = parser.get_double("spread");
   config.step.kind = parse_step_kind(parser.get("step"));
   config.step.scale = parser.get_double("step-scale");
@@ -324,13 +324,12 @@ int main(int argc, char** argv) {
     fabric::LeaseDir dir(parser.get("fabric-dir"));
     std::string worker_id = parser.get("worker-id");
     if (worker_id.empty()) worker_id = "w" + std::to_string(getpid());
-    const auto ttl_ms =
-        static_cast<std::uint64_t>(parser.get_int("lease-ttl-ms"));
+    const std::uint64_t ttl_ms = parser.get_size("lease-ttl-ms");
 
     if (mode == "init") {
       const SweepConfig config = grid_config_from(parser);
       config.validate();
-      const auto shards = static_cast<std::size_t>(parser.get_int("shards"));
+      const std::size_t shards = parser.get_size("shards");
       if (shards < 1) {
         std::cerr << "error: --shards must be >= 1\n";
         return 2;
@@ -401,10 +400,12 @@ int main(int argc, char** argv) {
     options.runner = make_subprocess_runner(
         parser, worker_bin, parser.get_int("inject-fail-shard"));
     options.lease_ttl_ms = ttl_ms;
-    options.retries = static_cast<int>(parser.get_int("retries"));
+    options.retries = static_cast<int>(
+        parser.get_size("retries", std::numeric_limits<int>::max()));
     options.backoff.base_ms = parser.get_int("backoff-ms");
     options.fleet_index = parser.get_int("fleet-index");
-    options.fleet_size = parser.get_int("fleet-size");
+    options.fleet_size = static_cast<long>(
+        parser.get_size("fleet-size", std::numeric_limits<long>::max()));
     options.wait_all = parser.get_bool("wait-all");
     options.max_wall_sec = parser.get_double("max-wall-sec");
     options.inject_die_shard = parser.get_int("inject-die-shard");

@@ -29,6 +29,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -153,19 +154,20 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const auto shards = static_cast<std::size_t>(parser.get_int("shards"));
+    const std::size_t shards = parser.get_size("shards");
     if (shards < 1) {
       std::cerr << "error: --shards must be >= 1\n";
       return 2;
     }
     const std::string workdir = parser.get("workdir");
     const long inject_fail_shard = parser.get_int("inject-fail-shard");
-    const int retries = static_cast<int>(parser.get_int("retries"));
+    const int retries = static_cast<int>(
+        parser.get_size("retries", std::numeric_limits<int>::max()));
     const auto timeout = std::chrono::duration<double>(
         parser.get_double("timeout-sec"));
     fabric::BackoffPolicy backoff;
     backoff.base_ms = parser.get_int("backoff-ms");
-    std::size_t parallel = static_cast<std::size_t>(parser.get_int("parallel"));
+    std::size_t parallel = parser.get_size("parallel");
     if (parallel == 0) parallel = shards;
 
     std::vector<ShardJob> jobs(shards);

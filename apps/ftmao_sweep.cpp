@@ -37,15 +37,15 @@ SweepConfig config_from(const cli::ArgParser& parser) {
   config.sizes = parse_sizes(parser.get("sizes"));
   config.dims = parse_dims(parser.get("dim"));
   config.attacks = parse_attacks(parser.get("attacks"));
-  const auto seed_count = static_cast<std::uint64_t>(parser.get_int("seeds"));
+  const std::size_t seed_count = parser.get_size("seeds");
   for (std::uint64_t s = 1; s <= seed_count; ++s) config.seeds.push_back(s);
-  config.rounds = static_cast<std::size_t>(parser.get_int("rounds"));
+  config.rounds = parser.get_size("rounds");
   config.spread = parser.get_double("spread");
   config.step.kind = parse_step_kind(parser.get("step"));
   config.step.scale = parser.get_double("step-scale");
   config.step.exponent = parser.get_double("step-exp");
-  config.num_threads = static_cast<std::size_t>(parser.get_int("threads"));
-  config.batch_size = static_cast<std::size_t>(parser.get_int("batch"));
+  config.num_threads = parser.get_size("threads");
+  config.batch_size = parser.get_size("batch");
   config.scalar_engine = parser.get_bool("scalar");
   config.megabatch = cli::megabatch_flag(parser);
   const std::string engine = parser.get("engine");
@@ -125,10 +125,8 @@ int main(int argc, char** argv) {
     SweepConfig config = config_from(parser);
     const std::unique_ptr<ResultCache> cache = cli::cache_from(parser);
     config.cache = cache.get();
-    const auto shard_index =
-        static_cast<std::size_t>(parser.get_int("shard-index"));
-    const auto shard_count =
-        static_cast<std::size_t>(parser.get_int("shard-count"));
+    const std::size_t shard_index = parser.get_size("shard-index");
+    const std::size_t shard_count = parser.get_size("shard-count");
     if (shard_count < 1 || shard_index >= shard_count) {
       std::cerr << "error: need 0 <= --shard-index < --shard-count\n";
       return 2;

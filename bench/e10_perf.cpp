@@ -1,9 +1,9 @@
 // E10 — implementation performance (google-benchmark).
 //
-// Microbenchmarks of the primitives (Trim, envelopes, Y computation, LP
-// witness) and whole-round costs vs n — the scaling a deployment would
-// care about. No paper counterpart (the paper has no implementation);
-// included for completeness of the harness.
+// Microbenchmarks of the primitives (Trim, envelopes, Y computation,
+// closed-form witness) and whole-round costs vs n — the scaling a
+// deployment would care about. No paper counterpart (the paper has no
+// implementation); included for completeness of the harness.
 
 #include <benchmark/benchmark.h>
 
@@ -79,7 +79,7 @@ void BM_WitnessAudit(benchmark::State& state) {
     benchmark::DoNotOptimize(audit_trim(honest, trimmed, f));
   }
 }
-BENCHMARK(BM_WitnessAudit)->Arg(5)->Arg(8)->Arg(11);
+BENCHMARK(BM_WitnessAudit)->Arg(5)->Arg(8)->Arg(11)->Arg(21);
 
 void BM_SbgFullRound(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

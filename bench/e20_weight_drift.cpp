@@ -4,7 +4,7 @@
 // admissible decomposition are TIME-DEPENDENT and AGENT-DEPENDENT: the
 // Byzantine agents effectively re-weight the global cost every round, and
 // differently for different honest agents. This bench extracts a witness
-// weight vector per round (via the LP) for one honest agent and prints
+// weight vector per round (closed form) for one honest agent and prints
 // its drift, plus the per-round weight assigned to each honest agent —
 // the concrete face of "the global cost function being optimized is
 // time-varying".

@@ -2,8 +2,8 @@
 //
 // Claim: every effective gradient g~ and trimmed state x~ computed by an
 // honest agent equals a convex combination of honest gradients/states with
-// a (1/(2(m-f)), m-f)-admissible weight vector. We verify this with LP
-// feasibility certificates per iteration per agent, across attacks and
+// a (1/(2(m-f)), m-f)-admissible weight vector. We verify this with exact
+// closed-form witnesses per iteration per agent, across attacks and
 // system sizes, and report the observed minimum support weight against the
 // guaranteed beta.
 
@@ -16,7 +16,7 @@ int main() {
   using namespace ftmao;
   bench::print_header(
       "E3: admissibility witnesses (Lemma 2 / Corollary 1)",
-      "LP certificates per trim; failures must be 0; min weight >= beta");
+      "exact witnesses per trim; failures must be 0; min weight >= beta");
 
   Table table({"n", "f", "attack", "checks", "failures", "min weight",
                "beta=1/(2(m-f))", "min support", "m-f"});

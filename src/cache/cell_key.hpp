@@ -30,7 +30,10 @@ namespace ftmao {
 /// Rev 2: LogCosh/SmoothAbs/SoftplusBasin derivatives moved from libm to
 /// the deterministic polynomial kernels (simd/det_math_impl.hpp) — same
 /// functions, different (now platform-pinned) bits.
-inline constexpr std::uint64_t kEngineSchemaRev = 2;
+/// Rev 3: Lemma 2 witness audits moved from the LP subset search to the
+/// exact closed form (lp/witness.hpp) — different witness weights
+/// (min_weight_seen), and exact verdicts where the search was heuristic.
+inline constexpr std::uint64_t kEngineSchemaRev = 3;
 
 /// FNV-1a over `bytes` starting from `basis`, splitmix64-finalized so
 /// short inputs still avalanche. Stable across platforms by construction.

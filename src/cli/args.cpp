@@ -1,5 +1,6 @@
 #include "cli/args.hpp"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -86,6 +87,20 @@ long ArgParser::get_int(const std::string& name) const {
   } catch (const std::exception&) {
     throw ContractViolation("flag --" + name + " expects an integer, got '" + v + "'");
   }
+}
+
+std::size_t ArgParser::get_size(const std::string& name,
+                                std::size_t max) const {
+  const std::string v = get(name);
+  std::size_t out = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec == std::errc::invalid_argument || end != v.data() + v.size())
+    throw ContractViolation("flag --" + name +
+                            " expects a non-negative integer, got '" + v + "'");
+  if (ec == std::errc::result_out_of_range || out > max)
+    throw ContractViolation("flag --" + name + " expects a count <= " +
+                            std::to_string(max) + ", got '" + v + "'");
+  return out;
 }
 
 bool ArgParser::get_bool(const std::string& name) const {

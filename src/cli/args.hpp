@@ -5,6 +5,8 @@
 // Unknown flags are an error (typos should not be silently ignored in an
 // experiment driver).
 
+#include <cstddef>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -32,6 +34,11 @@ class ArgParser {
   std::string get(const std::string& name) const;  ///< value or default
   double get_double(const std::string& name) const;
   long get_int(const std::string& name) const;
+  /// A count: decimal digits only (no sign), at most `max`. Negative,
+  /// fractional and overflowing values throw, naming the flag.
+  std::size_t get_size(
+      const std::string& name,
+      std::size_t max = std::numeric_limits<std::size_t>::max()) const;
   bool get_bool(const std::string& name) const;
 
   std::string help_text() const;

@@ -72,11 +72,11 @@ Scenario scenario_from(const ArgParser& parser) {
     }
     return load_scenario(file);
   }
-  const auto n = static_cast<std::size_t>(parser.get_int("n"));
-  const auto f = static_cast<std::size_t>(parser.get_int("f"));
+  const std::size_t n = parser.get_size("n");
+  const std::size_t f = parser.get_size("f");
   Scenario s = make_standard_scenario(
       n, f, parser.get_double("spread"), parse_attack_kind(parser.get("attack")),
-      static_cast<std::size_t>(parser.get_int("rounds")),
+      parser.get_size("rounds"),
       static_cast<std::uint64_t>(parser.get_int("seed")));
   s.step.kind = parse_step_kind(parser.get("step"));
   s.step.scale = parser.get_double("step-scale");
@@ -85,9 +85,8 @@ Scenario scenario_from(const ArgParser& parser) {
   s.attack.state_magnitude = parser.get_double("magnitude");
   s.attack.gradient_magnitude = parser.get_double("gradient-magnitude");
   s.attack.consistent = parser.get_bool("consistent");
-  s.attack.flip_period = static_cast<std::size_t>(parser.get_int("flip-period"));
-  s.attack.activation_round =
-      static_cast<std::size_t>(parser.get_int("activation-round"));
+  s.attack.flip_period = parser.get_size("flip-period");
+  s.attack.activation_round = parser.get_size("activation-round");
   s.drop_probability = parser.get_double("drop");
   if (parser.has("constraint-lo") || parser.has("constraint-hi")) {
     if (!(parser.has("constraint-lo") && parser.has("constraint-hi")))
@@ -237,8 +236,8 @@ int run_crash_algorithm(const ArgParser& parser, std::ostream& out) {
 
 int run_async_algorithm(const ArgParser& parser, std::ostream& out) {
   AsyncScenario s;
-  s.n = static_cast<std::size_t>(parser.get_int("n"));
-  s.f = static_cast<std::size_t>(parser.get_int("f"));
+  s.n = parser.get_size("n");
+  s.f = parser.get_size("f");
   for (std::size_t i = s.n - s.f; i < s.n; ++i) s.faulty.push_back(i);
   const Scenario base = scenario_from(parser);
   s.functions = base.functions;

@@ -1,5 +1,6 @@
 #include "cli/engine_flags.hpp"
 
+#include <limits>
 #include <ostream>
 #include <utility>
 
@@ -76,8 +77,9 @@ std::unique_ptr<ResultCache> cache_from(const ArgParser& parser) {
   if (dir.empty()) return nullptr;
   CacheConfig config;
   config.dir = dir;
-  config.max_memory_bytes =
-      static_cast<std::size_t>(parser.get_int("cache-mem-mb")) << 20;
+  const std::size_t mib = parser.get_size(
+      "cache-mem-mb", std::numeric_limits<std::size_t>::max() >> 20);
+  config.max_memory_bytes = mib << 20;
   return std::make_unique<ResultCache>(std::move(config));
 }
 

@@ -30,7 +30,7 @@ TrimAuditResult audit_trim(std::span<const double> honest_values,
                            double tolerance) {
   const lp::WitnessQuery q =
       make_query(honest_values, trimmed_value, f, tolerance);
-  const lp::WitnessResult w = lp::find_admissible_witness(q);
+  const lp::WitnessResult w = lp::admissible_witness_closed_form(q);
 
   TrimAuditResult result;
   result.witness_found = w.found;

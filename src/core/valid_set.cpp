@@ -132,8 +132,8 @@ bool ValidFamily::contains_optimum(double x, double tolerance) const {
 std::optional<std::vector<double>> ValidFamily::optimum_witness(
     double x, double tolerance) const {
   // x minimizes sum alpha_i h_i iff sum alpha_i h_i'(x) = 0 with alpha
-  // admissible — the same LP feasibility as the trim audits, with target 0
-  // over the gradient values at x.
+  // admissible — the same witness query as the trim audits, with target 0
+  // over the gradient values at x; beta = 1/(2 gamma) admits the closed form.
   lp::WitnessQuery query;
   query.values.reserve(functions_.size());
   for (const auto& fn : functions_) query.values.push_back(fn->derivative(x));
@@ -141,7 +141,7 @@ std::optional<std::vector<double>> ValidFamily::optimum_witness(
   query.beta = beta();
   query.gamma = gamma();
   query.tolerance = tolerance;
-  const lp::WitnessResult witness = lp::find_admissible_witness(query);
+  const lp::WitnessResult witness = lp::admissible_witness_closed_form(query);
   if (!witness.found) return std::nullopt;
   return witness.weights;
 }

@@ -79,7 +79,8 @@ class ValidFamily {
   bool contains_optimum(double x, double tolerance = 1e-9) const;
 
   /// An admissible weight vector whose combination is minimized at x, when
-  /// one exists (LP witness over the gradients at x); nullopt outside Y.
+  /// one exists (closed-form witness over the gradients at x); nullopt
+  /// outside Y.
   std::optional<std::vector<double>> optimum_witness(
       double x, double tolerance = 1e-7) const;
 

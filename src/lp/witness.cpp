@@ -74,6 +74,75 @@ std::pair<bool, bool> for_each_subset(std::size_t m, std::size_t gamma,
 
 }  // namespace
 
+WitnessResult admissible_witness_closed_form(const WitnessQuery& query) {
+  const std::vector<double>& v = query.values;
+  const std::size_t m = v.size();
+  const std::size_t gamma = query.gamma;
+  const double beta = query.beta;
+  const double y = query.target;
+  const double tol = query.tolerance;
+  FTMAO_EXPECTS(m >= 1);
+  FTMAO_EXPECTS(gamma <= m);
+  FTMAO_EXPECTS(beta >= 0.0);
+  FTMAO_EXPECTS(beta * static_cast<double>(gamma + 1) <= 1.0);
+  FTMAO_EXPECTS(std::isfinite(y));
+  for (double x : v) FTMAO_EXPECTS(std::isfinite(x));
+
+  std::vector<std::size_t> order(m);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return v[a] < v[b] || (v[a] == v[b] && a < b);
+  });
+  const std::size_t lo = order.front();
+  const std::size_t hi = order.back();
+  // c >= beta > 0, or c = 1 when beta = 0.
+  const double c = 1.0 - static_cast<double>(gamma) * beta;
+
+  // Window sums are non-decreasing, so the first window whose reach
+  // [beta * sum + c * v_min, beta * sum + c * v_max] ends at or above
+  // y - tol is the only one that can start at or below y + tol.
+  double sum = 0.0;
+  for (std::size_t j = 0; j < gamma; ++j) sum += v[order[j]];
+  std::size_t start = 0;
+  while (beta * sum + c * v[hi] < y - tol && start + gamma < m) {
+    sum += v[order[start + gamma]] - v[order[start]];
+    ++start;
+  }
+
+  WitnessResult result;
+  if (beta * sum + c * v[hi] < y - tol || beta * sum + c * v[lo] > y + tol)
+    return result;
+
+  std::vector<double> weights(m, 0.0);
+  for (std::size_t j = start; j < start + gamma; ++j) weights[order[j]] = beta;
+  const double t = std::clamp((y - beta * sum) / c, v[lo], v[hi]);
+  const double up = v[hi] > v[lo] ? (t - v[lo]) / (v[hi] - v[lo]) : 0.0;
+  weights[hi] += c * up;
+  weights[lo] += c * (1.0 - up);
+
+  // Residual check, independent of the window arithmetic above. The two
+  // round differently by a few ulps of the values, hence the slack.
+  double mass = 0.0;
+  double dot = 0.0;
+  double scale = std::abs(y);
+  std::size_t bounded = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    FTMAO_ENSURES(weights[i] >= 0.0);
+    mass += weights[i];
+    dot += weights[i] * v[i];
+    scale = std::max(scale, std::abs(v[i]));
+    if (weights[i] >= beta) ++bounded;
+  }
+  FTMAO_ENSURES(std::abs(mass - 1.0) <= 1e-12 * static_cast<double>(m));
+  FTMAO_ENSURES(std::abs(dot - y) <= tol + 1e-12 * (1.0 + scale));
+  FTMAO_ENSURES(bounded >= gamma);
+
+  result.found = true;
+  result.support = support_of(weights, beta, tol);
+  result.weights = std::move(weights);
+  return result;
+}
+
 WitnessResult find_admissible_witness(const WitnessQuery& query,
                                       std::size_t subset_cap) {
   const std::size_t m = query.values.size();

@@ -18,7 +18,7 @@ namespace ftmao {
 struct WitnessStats {
   std::size_t checks = 0;
   std::size_t failures = 0;     ///< no admissible witness found
-  std::size_t inexact = 0;      ///< heuristic (non-exhaustive) searches
+  std::size_t inexact = 0;      ///< verdicts not decided exactly
   double min_weight_seen = std::numeric_limits<double>::infinity();
   std::size_t min_support_seen = std::numeric_limits<std::size_t>::max();
 

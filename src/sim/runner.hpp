@@ -10,9 +10,9 @@
 namespace ftmao {
 
 struct RunOptions {
-  bool audit_witnesses = false;  ///< per-iteration Lemma 2/Cor 1 LP audits
+  bool audit_witnesses = false;  ///< per-iteration Lemma 2/Cor 1 witness audits
   std::size_t audit_every = 1;   ///< audit every k-th iteration
-  std::size_t audit_max_rounds = 200;  ///< stop auditing after this many (LPs are costly)
+  std::size_t audit_max_rounds = 200;  ///< stop auditing after this many rounds
   bool record_trace = false;  ///< keep the full per-round state trace
 };
 

@@ -1,5 +1,6 @@
 #include "sim/shard.hpp"
 
+#include <charconv>
 #include <limits>
 #include <sstream>
 
@@ -46,6 +47,19 @@ std::vector<std::string> split(const std::string& text, char sep) {
   std::istringstream is(text);
   std::string token;
   while (std::getline(is, token, sep)) out.push_back(token);
+  return out;
+}
+
+// One decimal count of a grid list, e.g. field "sizes", entry 0. Signs,
+// blanks and overflow are errors that name the entry.
+std::uint64_t parse_count(const char* field, std::size_t index,
+                          const std::string& token) {
+  std::uint64_t out = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  if (ec != std::errc{} || ptr != end)
+    throw ContractViolation(std::string(field) + "[" + std::to_string(index) +
+                            "]: '" + token + "' is not a count");
   return out;
 }
 
@@ -110,12 +124,13 @@ std::vector<std::pair<std::size_t, std::size_t>> parse_sizes(
     const std::string& text) {
   std::vector<std::pair<std::size_t, std::size_t>> sizes;
   for (const std::string& pair : split(text, ',')) {
+    const std::size_t i = sizes.size();
     const auto colon = pair.find(':');
     if (colon == std::string::npos)
-      throw ContractViolation("sizes spec expects n:f pairs, got '" + pair +
-                              "'");
-    sizes.emplace_back(std::stoul(pair.substr(0, colon)),
-                       std::stoul(pair.substr(colon + 1)));
+      throw ContractViolation("sizes[" + std::to_string(i) +
+                              "]: expects an n:f pair, got '" + pair + "'");
+    sizes.emplace_back(parse_count("sizes", i, pair.substr(0, colon)),
+                       parse_count("sizes", i, pair.substr(colon + 1)));
   }
   return sizes;
 }
@@ -148,7 +163,7 @@ std::string format_dims(const std::vector<std::size_t>& dims) {
 std::vector<std::size_t> parse_dims(const std::string& text) {
   std::vector<std::size_t> dims;
   for (const std::string& token : split(text, ','))
-    dims.push_back(std::stoul(token));
+    dims.push_back(parse_count("dims", dims.size(), token));
   return dims;
 }
 
@@ -164,7 +179,7 @@ std::string format_seeds(const std::vector<std::uint64_t>& seeds) {
 std::vector<std::uint64_t> parse_seeds(const std::string& text) {
   std::vector<std::uint64_t> seeds;
   for (const std::string& token : split(text, ','))
-    seeds.push_back(std::stoull(token));
+    seeds.push_back(parse_count("seeds", seeds.size(), token));
   return seeds;
 }
 

@@ -32,8 +32,15 @@ void SweepConfig::validate() const {
   // its own per-coordinate delay semantics first.
   if (async_engine)
     for (std::size_t d : dims) FTMAO_EXPECTS(d == 1);
-  for (const auto& [n, f] : sizes)
-    FTMAO_EXPECTS(async_engine ? n > 5 * f : n > 3 * f);
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const auto [n, f] = sizes[i];
+    const std::size_t k = async_engine ? 5 : 3;
+    if (n <= k * f)
+      throw ContractViolation("sizes[" + std::to_string(i) + "]: n=" +
+                              std::to_string(n) + " needs n > " +
+                              std::to_string(k) + "f (f=" + std::to_string(f) +
+                              ")");
+  }
 }
 
 std::vector<CellSpec> sweep_cell_specs(const SweepConfig& config) {

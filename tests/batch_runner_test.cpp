@@ -139,6 +139,29 @@ TEST(BatchRunner, AuditAndTraceMatchScalar) {
                               options);
 }
 
+TEST(BatchRunner, AuditsAreExactAtN31) {
+  // C(21, 11) gamma-subsets per query: past any subset enumeration, so
+  // every audit here must come from the exact closed-form witness.
+  RunOptions options;
+  options.audit_witnesses = true;
+  options.audit_max_rounds = 100;
+  const std::vector<Scenario> replicas =
+      seed_axis(31, 10, AttackKind::SplitBrain, 100, 2);
+  const std::vector<RunMetrics> batched = run_sbg_batch(replicas, options);
+  const RunMetrics scalar = run_sbg(replicas[0], options);
+  for (const RunMetrics* m : {&scalar, &batched[0], &batched[1]}) {
+    for (const WitnessStats* w : {&m->state_witness, &m->gradient_witness}) {
+      EXPECT_EQ(w->checks, 100u * 21u);
+      EXPECT_EQ(w->failures, 0u);
+      EXPECT_EQ(w->inexact, 0u);
+      EXPECT_GE(w->min_support_seen, 21u - 10u);
+    }
+  }
+  expect_witness_identical(scalar.state_witness, batched[0].state_witness);
+  expect_witness_identical(scalar.gradient_witness,
+                           batched[0].gradient_witness);
+}
+
 TEST(BatchRunner, HeterogeneousReplicasMatchScalar) {
   // Same shape, everything else different: attack, step schedule, drops,
   // constraint, default payload.

@@ -46,6 +46,23 @@ TEST(Certify, TightResilienceBoundPasses) {
   EXPECT_TRUE(report.passed);
 }
 
+TEST(Certify, LemmaTwoWitnessesPassAtN31) {
+  // n = 31, f = 10: 352 716 gamma-subsets per audit, decided exactly by
+  // the closed-form witness.
+  CertifyOptions options;
+  options.n = 31;
+  options.f = 10;
+  const CertificationReport report = certify_sbg(options);
+  EXPECT_TRUE(report.passed);
+  bool seen = false;
+  for (const auto& check : report.checks) {
+    if (check.name != "lemma2-witnesses") continue;
+    seen = true;
+    EXPECT_TRUE(check.passed) << check.detail;
+  }
+  EXPECT_TRUE(seen);
+}
+
 TEST(Certify, UnreasonableEpsilonFails) {
   CertifyOptions options;
   options.rounds = 50;            // far too short...

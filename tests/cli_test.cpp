@@ -78,6 +78,25 @@ TEST(ArgParser, BadNumberThrowsOnAccess) {
   EXPECT_THROW(p.get_double("count"), ContractViolation);
 }
 
+TEST(ArgParser, CountsRejectNegativeFractionalAndOverflowingValues) {
+  ArgParser p = test_parser();
+  ASSERT_FALSE(p.parse({"--count", "7"}).has_value());
+  EXPECT_EQ(p.get_size("count"), 7u);
+  EXPECT_EQ(p.get_size("count", 7), 7u);
+  EXPECT_THROW(p.get_size("count", 6), ContractViolation);
+  for (const char* bad : {"-1", "+3", " 3", "1.5", "3x", "", "1e3",
+                          "18446744073709551616"}) {
+    ASSERT_FALSE(p.parse({"--count=" + std::string(bad)}).has_value()) << bad;
+    try {
+      p.get_size("count");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("--count"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ArgParser, HasDistinguishesExplicit) {
   ArgParser p = test_parser();
   EXPECT_FALSE(p.parse({"--count", "3"}).has_value());
@@ -138,6 +157,14 @@ TEST(Cli, BadAlgorithmFails) {
 TEST(Cli, BadResilienceFails) {
   std::string err;
   EXPECT_EQ(run({"--n", "6", "--f", "2"}, nullptr, &err), 1);
+}
+
+TEST(Cli, NegativeCountFlagFailsBeforeRunning) {
+  std::string out;
+  std::string err;
+  EXPECT_EQ(run({"--rounds", "-1"}, &out, &err), 1);
+  EXPECT_NE(err.find("--rounds"), std::string::npos) << err;
+  EXPECT_TRUE(out.empty()) << out;
 }
 
 TEST(Cli, DgdAndLocalRun) {

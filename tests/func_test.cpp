@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -196,10 +197,22 @@ TEST(SoftplusBasin, RejectsInvertedWalls) {
 
 // ----------------------------------------------- admissibility validation
 
-class AdmissibleFamilies : public ::testing::TestWithParam<ScalarFunctionPtr> {};
+// A family with the label that names its test case. gtest's default name
+// for a bare shared_ptr prints its heap address, which differs from run to
+// run.
+struct LabelledFamily {
+  const char* label;
+  ScalarFunctionPtr fn;
+
+  friend void PrintTo(const LabelledFamily& family, std::ostream* os) {
+    *os << family.label;
+  }
+};
+
+class AdmissibleFamilies : public ::testing::TestWithParam<LabelledFamily> {};
 
 TEST_P(AdmissibleFamilies, PassesFullValidation) {
-  const ValidationReport report = validate_admissible(*GetParam());
+  const ValidationReport report = validate_admissible(*GetParam().fn);
   EXPECT_TRUE(report.ok) << (report.violations.empty()
                                  ? ""
                                  : report.violations.front());
@@ -208,18 +221,29 @@ TEST_P(AdmissibleFamilies, PassesFullValidation) {
 INSTANTIATE_TEST_SUITE_P(
     AllConcreteTypes, AdmissibleFamilies,
     ::testing::Values(
-        std::make_shared<Huber>(0.0, 2.0, 1.0),
-        std::make_shared<Huber>(-7.5, 0.5, 3.0),
-        std::make_shared<LogCosh>(1.0, 1.0, 1.0),
-        std::make_shared<LogCosh>(5.0, 0.25, 2.0),
-        std::make_shared<SmoothAbs>(0.0, 0.5, 1.0),
-        std::make_shared<SmoothAbs>(-3.0, 1.0, 0.5),
-        std::make_shared<FlatHuber>(Interval(-2.0, 2.0), 1.0, 1.0),
-        std::make_shared<FlatHuber>(Interval(3.0, 3.5), 2.0, 0.7),
-        std::make_shared<SoftplusBasin>(-1.0, 1.0, 0.5, 1.0),
-        std::make_shared<SoftplusBasin>(2.0, 2.0, 1.0, 2.0),
-        std::make_shared<AsymmetricHuber>(0.0, 1.0, 3.0, 1.0),
-        std::make_shared<AsymmetricHuber>(-4.0, 2.5, 0.5, 2.0)));
+        LabelledFamily{"Huber(0, 2, 1)", std::make_shared<Huber>(0.0, 2.0, 1.0)},
+        LabelledFamily{"Huber(-7.5, 0.5, 3)",
+                       std::make_shared<Huber>(-7.5, 0.5, 3.0)},
+        LabelledFamily{"LogCosh(1, 1, 1)",
+                       std::make_shared<LogCosh>(1.0, 1.0, 1.0)},
+        LabelledFamily{"LogCosh(5, 0.25, 2)",
+                       std::make_shared<LogCosh>(5.0, 0.25, 2.0)},
+        LabelledFamily{"SmoothAbs(0, 0.5, 1)",
+                       std::make_shared<SmoothAbs>(0.0, 0.5, 1.0)},
+        LabelledFamily{"SmoothAbs(-3, 1, 0.5)",
+                       std::make_shared<SmoothAbs>(-3.0, 1.0, 0.5)},
+        LabelledFamily{"FlatHuber(-2..2, 1, 1)",
+                       std::make_shared<FlatHuber>(Interval(-2.0, 2.0), 1.0, 1.0)},
+        LabelledFamily{"FlatHuber(3..3.5, 2, 0.7)",
+                       std::make_shared<FlatHuber>(Interval(3.0, 3.5), 2.0, 0.7)},
+        LabelledFamily{"SoftplusBasin(-1, 1, 0.5, 1)",
+                       std::make_shared<SoftplusBasin>(-1.0, 1.0, 0.5, 1.0)},
+        LabelledFamily{"SoftplusBasin(2, 2, 1, 2)",
+                       std::make_shared<SoftplusBasin>(2.0, 2.0, 1.0, 2.0)},
+        LabelledFamily{"AsymmetricHuber(0, 1, 3, 1)",
+                       std::make_shared<AsymmetricHuber>(0.0, 1.0, 3.0, 1.0)},
+        LabelledFamily{"AsymmetricHuber(-4, 2.5, 0.5, 2)",
+                       std::make_shared<AsymmetricHuber>(-4.0, 2.5, 0.5, 2.0)}));
 
 TEST(Validate, CatchesWrongGradientBound) {
   // A liar: claims gradient bound 0.1 but has slope up to 1.

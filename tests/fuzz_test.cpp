@@ -13,10 +13,13 @@
 #include "func/combination.hpp"
 #include "func/functions.hpp"
 #include "func/library.hpp"
+#include "core/admissibility.hpp"
 #include "core/step_size.hpp"
 #include "lp/simplex.hpp"
+#include "lp/witness.hpp"
 #include "opt/golden.hpp"
 #include "trim/trim.hpp"
+#include "witness_check.hpp"
 
 namespace ftmao {
 namespace {
@@ -132,6 +135,56 @@ TEST(Fuzz, SimplexMatchesVertexEnumerationIn2D) {
     ASSERT_EQ(sol.status, lp::Status::Optimal) << "trial " << trial;
     EXPECT_NEAR(sol.objective_value, best, 1e-6) << "trial " << trial;
   }
+}
+
+// ------------------------------------ closed-form witness vs LP oracle
+
+TEST(Fuzz, ClosedFormWitnessMatchesLpOracleOnTrims) {
+  // Lemma 2 on random trims of honest plus Byzantine values: the trimmed
+  // value always has a witness over the honest values, in closed form and
+  // by the uncapped LP search. Shifted targets probe both verdicts.
+  using witness_check::exact_reach;
+  using witness_check::kOracleBand;
+  using witness_check::kUncapped;
+  Rng rng(107);
+  std::size_t missing = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const auto f = static_cast<std::size_t>(rng.uniform_int(0, 4));
+    const std::size_t m = 2 * f + 1 +
+                          static_cast<std::size_t>(rng.uniform_int(0, 14 - 2 * f));
+    std::vector<double> honest(m);
+    const bool duplicated = trial % 3 == 0;
+    for (auto& v : honest)
+      v = duplicated ? static_cast<double>(rng.uniform_int(-1, 1))
+                     : rng.uniform(-5.0, 5.0);
+    std::vector<double> all = honest;
+    for (std::size_t b = 0; b < f; ++b) all.push_back(rng.uniform(-50.0, 50.0));
+    const double trimmed = trim_value(all, f);
+
+    const TrimAuditResult audit = audit_trim(honest, trimmed, f);
+    ASSERT_TRUE(audit.witness_found) << "trial " << trial;
+    ASSERT_TRUE(audit.exact);
+    EXPECT_GE(audit.support_size, m - f);
+
+    lp::WitnessQuery q = witness_check::paper_query(honest, f, trimmed);
+    EXPECT_TRUE(witness_check::is_witness(q, lp::admissible_witness_closed_form(q)))
+        << "trial " << trial;
+    EXPECT_TRUE(lp::find_admissible_witness(q, kUncapped).found);
+
+    q.target = trimmed + rng.uniform(-3.0, 3.0);
+    const auto [lo, hi] = exact_reach(q);
+    if (std::abs(q.target - lo) < kOracleBand ||
+        std::abs(q.target - hi) < kOracleBand)
+      continue;
+    const lp::WitnessResult closed = lp::admissible_witness_closed_form(q);
+    ASSERT_EQ(closed.found, lp::find_admissible_witness(q, kUncapped).found)
+        << "trial " << trial << " target " << q.target;
+    if (closed.found)
+      EXPECT_TRUE(witness_check::is_witness(q, closed));
+    else
+      ++missing;
+  }
+  EXPECT_GT(missing, 20u);
 }
 
 // ---------------------------------------- argmin vs golden-section search

@@ -1,14 +1,17 @@
-// Unit tests for the dense two-phase simplex and the admissibility witness
-// queries built on top of it.
+// Unit tests for the dense two-phase simplex, the admissibility witness
+// queries built on top of it, and the closed-form witness they check.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
+#include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "lp/simplex.hpp"
 #include "lp/witness.hpp"
+#include "witness_check.hpp"
 
 namespace ftmao::lp {
 namespace {
@@ -243,6 +246,174 @@ TEST(Witness, WitnessWeightsActuallyAdmissible) {
     EXPECT_NEAR(dot, q.target, 1e-5);
     EXPECT_GE(big, q.gamma);
   }
+}
+
+// ----------------------------------------------------------- closed form
+
+using witness_check::exact_reach;
+using witness_check::is_witness;
+using witness_check::kOracleBand;
+using witness_check::kUncapped;
+using witness_check::paper_query;
+
+TEST(ClosedFormWitness, WindowEndsPinnedAtHalfTolerance) {
+  // {0, 1, 2, 3} with f = 1: gamma = 3, beta = 1/6, c = 1/2. The lowest
+  // window reaches 1/6 * (0 + 1 + 2) + 0 / 2 = 0.5, the highest
+  // 1/6 * (1 + 2 + 3) + 3 / 2 = 2.5.
+  WitnessQuery q = paper_query({3.0, 0.0, 2.0, 1.0}, 1, 0.0);
+  const double tol = q.tolerance;
+  const auto [lo, hi] = exact_reach(q);
+  ASSERT_DOUBLE_EQ(lo, 0.5);
+  ASSERT_DOUBLE_EQ(hi, 2.5);
+  for (const double end : {lo, hi}) {
+    for (const double inside : {end - tol / 2, end + tol / 2}) {
+      q.target = inside;
+      const WitnessResult w = admissible_witness_closed_form(q);
+      EXPECT_TRUE(is_witness(q, w)) << "target " << inside;
+      EXPECT_TRUE(w.exact);
+      EXPECT_TRUE(find_admissible_witness(q, kUncapped).found);
+    }
+  }
+  for (const double outside : {lo - 1.5 * tol, hi + 1.5 * tol}) {
+    q.target = outside;
+    const WitnessResult w = admissible_witness_closed_form(q);
+    EXPECT_FALSE(w.found) << "target " << outside;
+    EXPECT_TRUE(w.exact);
+  }
+  for (const double outside : {lo - kOracleBand, hi + kOracleBand}) {
+    q.target = outside;
+    EXPECT_FALSE(admissible_witness_closed_form(q).found);
+    EXPECT_FALSE(find_admissible_witness(q, kUncapped).found);
+  }
+}
+
+TEST(ClosedFormWitness, LowEndPutsTheSpareMassOnTheMinimum) {
+  WitnessQuery q = paper_query({3.0, 0.0, 2.0, 1.0}, 1, 0.5);
+  const WitnessResult w = admissible_witness_closed_form(q);
+  ASSERT_TRUE(is_witness(q, w));
+  const std::vector<double> expected{0.0, 1.0 / 6 + 0.5, 1.0 / 6, 1.0 / 6};
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    EXPECT_NEAR(w.weights[i], expected[i], 1e-15) << "alpha_" << i;
+  EXPECT_EQ(w.support, (std::vector<std::size_t>{1, 2, 3}));
+}
+
+TEST(ClosedFormWitness, TargetPastAWindowHandsOffToTheNext) {
+  // Same query: the window {0, 1, 2} reaches [0.5, 2.0], the window
+  // {1, 2, 3} reaches [1.0, 2.5]. Past 2.0 + tol only the second window
+  // works, so the search must move on to it; within tol the first does.
+  WitnessQuery q = paper_query({3.0, 0.0, 2.0, 1.0}, 1, 0.0);
+  const double tol = q.tolerance;
+  for (const double past : {0.5 * tol, 1.5 * tol, 3.0 * tol, 0.25}) {
+    q.target = 2.0 + past;
+    const WitnessResult w = admissible_witness_closed_form(q);
+    EXPECT_TRUE(is_witness(q, w)) << "target 2 + " << past;
+  }
+}
+
+TEST(ClosedFormWitness, NoFaultsUsesTheWholeSet) {
+  // f = 0: gamma = m, the only window is every value; c = 1/2.
+  WitnessQuery q = paper_query({1.0, 4.0, 2.0}, 0, 0.0);
+  const auto [lo, hi] = exact_reach(q);
+  EXPECT_DOUBLE_EQ(lo, 7.0 / 6 + 0.5);
+  EXPECT_DOUBLE_EQ(hi, 7.0 / 6 + 2.0);
+  for (const double target : {lo, (lo + hi) / 2, hi}) {
+    q.target = target;
+    EXPECT_TRUE(is_witness(q, admissible_witness_closed_form(q)));
+  }
+  q.target = lo - 1e-3;
+  EXPECT_FALSE(admissible_witness_closed_form(q).found);
+  EXPECT_FALSE(find_admissible_witness(q, kUncapped).found);
+}
+
+TEST(ClosedFormWitness, AllEqualValuesReachOnlyThatValue) {
+  WitnessQuery q = paper_query({2.0, 2.0, 2.0, 2.0, 2.0}, 2, 2.0);
+  EXPECT_TRUE(is_witness(q, admissible_witness_closed_form(q)));
+  q.target = 2.0 + 1e-5;
+  EXPECT_FALSE(admissible_witness_closed_form(q).found);
+  EXPECT_FALSE(find_admissible_witness(q, kUncapped).found);
+
+  WitnessQuery single = paper_query({-3.0}, 0, -3.0);
+  EXPECT_TRUE(is_witness(single, admissible_witness_closed_form(single)));
+  single.target = -2.0;
+  EXPECT_FALSE(admissible_witness_closed_form(single).found);
+}
+
+TEST(ClosedFormWitness, MatchesTheLpHandCases) {
+  // The Witness cases above, all with beta * (gamma + 1) <= 1.
+  WitnessQuery q;
+  q.values = {0.0, 1.0, 2.0};
+  q.target = 2.0;
+  q.beta = 0.25;
+  q.gamma = 2;
+  EXPECT_FALSE(admissible_witness_closed_form(q).found);
+  q.gamma = 1;
+  EXPECT_TRUE(is_witness(q, admissible_witness_closed_form(q)));
+  q.target = 5.0;
+  EXPECT_FALSE(admissible_witness_closed_form(q).found);
+
+  q.values = {0.0, 10.0};
+  q.target = 9.9;
+  q.gamma = 2;
+  q.beta = 0.009;
+  EXPECT_TRUE(is_witness(q, admissible_witness_closed_form(q)));
+  q.beta = 0.02;
+  EXPECT_FALSE(admissible_witness_closed_form(q).found);
+}
+
+TEST(ClosedFormWitness, RejectsBetaAboveOneOverGammaPlusOne) {
+  // Past 1/(gamma + 1) the reachable set can have gaps (here {0, 10} with
+  // gamma = 1, beta = 0.9 reaches [0, 1] and [9, 10] only).
+  WitnessQuery q;
+  q.values = {0.0, 10.0};
+  q.target = 5.0;
+  q.gamma = 1;
+  q.beta = 0.9;
+  EXPECT_THROW(admissible_witness_closed_form(q), ContractViolation);
+  EXPECT_FALSE(find_admissible_witness(q).found);
+  q.beta = 0.5;
+  EXPECT_TRUE(is_witness(q, admissible_witness_closed_form(q)));
+}
+
+TEST(ClosedFormWitness, AgreesWithLpOracleOnRandomQueries) {
+  // m = 1..15, every f with m > 2f, continuous or heavily duplicated
+  // values, targets spread past both ends of the reach.
+  Rng rng(19);
+  std::size_t found = 0;
+  std::size_t missing = 0;
+  for (std::size_t m = 1; m <= 15; ++m) {
+    for (std::size_t f = 0; 2 * f < m; ++f) {
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<double> values(m);
+        const bool duplicated = trial % 2 == 1;
+        for (auto& v : values)
+          v = duplicated ? static_cast<double>(rng.uniform_int(-2, 2))
+                         : rng.uniform(-5.0, 5.0);
+        WitnessQuery q = paper_query(values, f, 0.0);
+        const auto [lo, hi] = exact_reach(q);
+        const double vmin = *std::min_element(values.begin(), values.end());
+        const double vmax = *std::max_element(values.begin(), values.end());
+        q.target = rng.uniform(vmin - 1.0, vmax + 1.0);
+        if (std::abs(q.target - lo) < kOracleBand ||
+            std::abs(q.target - hi) < kOracleBand)
+          continue;
+        const WitnessResult closed = admissible_witness_closed_form(q);
+        const WitnessResult lp = find_admissible_witness(q, kUncapped);
+        ASSERT_TRUE(closed.exact);
+        ASSERT_TRUE(lp.exact);
+        ASSERT_EQ(closed.found, lp.found)
+            << "m=" << m << " f=" << f << " target " << q.target;
+        EXPECT_EQ(closed.found, q.target >= lo && q.target <= hi);
+        if (closed.found) {
+          EXPECT_TRUE(is_witness(q, closed));
+          ++found;
+        } else {
+          ++missing;
+        }
+      }
+    }
+  }
+  EXPECT_GT(found, 50u);
+  EXPECT_GT(missing, 50u);
 }
 
 TEST(MaxGuaranteedBeta, MeanOfTwoIsHalf) {

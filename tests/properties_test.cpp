@@ -5,14 +5,25 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <tuple>
 
 #include "common/rng.hpp"
 #include "core/valid_set.hpp"
 #include "func/library.hpp"
 #include "sim/runner.hpp"
+#include "sim/scenario_io.hpp"
 
 namespace ftmao {
+
+// Prints a schedule as kind(scale, exponent); this is what names the
+// ValidScheduleSweep cases. gtest's default dumps the struct's bytes,
+// padding included, and the padding differs from run to run.
+void PrintTo(const StepConfig& step, std::ostream* os) {
+  *os << step_kind_name(step.kind) << '(' << step.scale << ", "
+      << step.exponent << ')';
+}
+
 namespace {
 
 // ------------------------------------------------ (n, f) resilience sweep

@@ -4,6 +4,7 @@
 
 #include "common/contracts.hpp"
 #include "sim/scenario_io.hpp"
+#include "sim/shard.hpp"
 #include "sim/sweep.hpp"
 
 namespace ftmao {
@@ -75,6 +76,45 @@ TEST(Sweep, ValidationCatchesBadGrid) {
   c = small_config();
   c.seeds.clear();
   EXPECT_THROW(run_sweep(c), ContractViolation);
+}
+
+// The ContractViolation message thrown by `body`, or "" if none.
+template <typename Body>
+std::string violation_of(Body&& body) {
+  try {
+    body();
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Sweep, ValidationNamesTheBadSizeEntry) {
+  SweepConfig c = small_config();
+  c.sizes = {{10, 3}, {7, 3}};
+  EXPECT_EQ(violation_of([&] { c.validate(); }),
+            "sizes[1]: n=7 needs n > 3f (f=3)");
+  c.sizes = {{7, 2}};
+  c.async_engine = true;
+  EXPECT_EQ(violation_of([&] { c.validate(); }),
+            "sizes[0]: n=7 needs n > 5f (f=2)");
+  c.sizes = {{11, 2}};
+  EXPECT_EQ(violation_of([&] { c.validate(); }), "");
+}
+
+TEST(Sweep, ParseSizesNamesTheBadEntry) {
+  EXPECT_EQ(violation_of([] { parse_sizes("99999999999999999999:1"); }),
+            "sizes[0]: '99999999999999999999' is not a count");
+  EXPECT_EQ(violation_of([] { parse_sizes("7:2,10:-3"); }),
+            "sizes[1]: '-3' is not a count");
+  EXPECT_EQ(violation_of([] { parse_sizes("7:2,10"); }),
+            "sizes[1]: expects an n:f pair, got '10'");
+  EXPECT_EQ(violation_of([] { parse_dims("1,x"); }),
+            "dims[1]: 'x' is not a count");
+  EXPECT_EQ(violation_of([] { parse_seeds("-1"); }),
+            "seeds[0]: '-1' is not a count");
+  EXPECT_EQ(parse_sizes("7:2,10:3"),
+            (std::vector<std::pair<std::size_t, std::size_t>>{{7, 2}, {10, 3}}));
 }
 
 }  // namespace

@@ -13,7 +13,9 @@
 #include "core/valid_set.hpp"
 #include "func/functions.hpp"
 #include "func/library.hpp"
+#include "lp/witness.hpp"
 #include "trim/trim.hpp"
+#include "witness_check.hpp"
 
 namespace ftmao {
 namespace {
@@ -219,6 +221,34 @@ TEST(ValidFamily, OptimumWitnessExistsInsideYOnly) {
 
   EXPECT_FALSE(family.optimum_witness(y.hi() + 0.5).has_value());
   EXPECT_FALSE(family.optimum_witness(y.lo() - 0.5).has_value());
+}
+
+TEST(ValidFamily, OptimumWitnessAgreesWithLpOracle) {
+  const ValidFamily family({huber_at(-4), huber_at(-2), huber_at(-1),
+                            huber_at(0.5), huber_at(1), huber_at(3),
+                            huber_at(6)},
+                           2);
+  const Interval y = family.optima_set();
+  for (int k = 0; k <= 40; ++k) {
+    const double x = y.lo() - 1.0 + (y.length() + 2.0) * k / 40.0;
+    if (std::abs(x - y.lo()) < 1e-4 || std::abs(x - y.hi()) < 1e-4) continue;
+    lp::WitnessQuery query;
+    for (const auto& fn : family.functions())
+      query.values.push_back(fn->derivative(x));
+    query.beta = family.beta();
+    query.gamma = family.gamma();
+    const auto witness = family.optimum_witness(x);
+    EXPECT_EQ(witness.has_value(),
+              lp::find_admissible_witness(query, witness_check::kUncapped).found)
+        << "x = " << x;
+    EXPECT_EQ(witness.has_value(), family.contains_optimum(x)) << "x = " << x;
+    if (witness) {
+      lp::WitnessResult as_result;
+      as_result.found = true;
+      as_result.weights = *witness;
+      EXPECT_TRUE(witness_check::is_witness(query, as_result)) << "x = " << x;
+    }
+  }
 }
 
 // ------------------------------------------------------------- audit_trim
